@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -132,5 +134,28 @@ func TestChaosPlanValidation(t *testing.T) {
 	cfg.Faults = &faults.Plan{Rules: []faults.Rule{{Class: "meteor-strike", Rate: 1}}}
 	if _, err := NewCampaign(cfg); err == nil {
 		t.Fatal("campaign accepted a plan with an unknown fault class")
+	}
+}
+
+// TestChaosRestartOutcomePinned pins the exact single-WM crash-restart
+// outcome of chaosCfg(5). No committed scenario ledger records a non-zero
+// wm_restarts, so this is the oracle that the restart crash policy (cold
+// kill, conductor rebuild, restore, conservation check) replays
+// event-for-event: any drift in the restart path, the shared allocation
+// loop around it, or the fault draws they consume changes a count or the
+// anomaly digest.
+func TestChaosRestartOutcomePinned(t *testing.T) {
+	cfg, _ := chaosCfg(5)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(strings.Join(res.Anomalies, "\n")))
+	got := fmt.Sprintf("restarts=%d injected=%d cg=%d aa=%d anomalies=%d digest=%x",
+		res.WMRestarts, res.InjectedFailures, res.CGSelected, res.AASelected,
+		len(res.Anomalies), sum[:8])
+	const want = "restarts=5 injected=0 cg=71 aa=17 anomalies=50 digest=ee70b61582c1d8b0"
+	if got != want {
+		t.Errorf("restart outcome drifted:\n got %s\nwant %s", got, want)
 	}
 }

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +93,26 @@ func TestFleetCampaignAdoptionEndToEnd(t *testing.T) {
 	if crashes < res.WMCrashes || adopts < res.WMAdoptions {
 		t.Errorf("fault log has %d crash / %d adopt lines, ledger says %d / %d",
 			crashes, adopts, res.WMCrashes, res.WMAdoptions)
+	}
+}
+
+// TestFleetAdoptionOutcomePinned pins the exact fleet crash-and-adoption
+// outcome of fleetCfg(5), the adoption-policy counterpart of
+// TestChaosRestartOutcomePinned: the fleet shares the allocation loop with
+// the single-WM path, so drift in either shows up here or there.
+func TestFleetAdoptionOutcomePinned(t *testing.T) {
+	cfg, _ := fleetCfg(5)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(strings.Join(res.Anomalies, "\n")))
+	got := fmt.Sprintf("crashes=%d adoptions=%d expirations=%d cg=%d aa=%d anomalies=%d digest=%x",
+		res.WMCrashes, res.WMAdoptions, res.LeaseExpirations, res.CGSelected, res.AASelected,
+		len(res.Anomalies), sum[:8])
+	const want = "crashes=4 adoptions=4 expirations=4 cg=21 aa=5 anomalies=15 digest=78525878c52f46c8"
+	if got != want {
+		t.Errorf("adoption outcome drifted:\n got %s\nwant %s", got, want)
 	}
 }
 
