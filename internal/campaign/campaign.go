@@ -14,7 +14,6 @@ import (
 	"mummi/internal/datastore"
 	"mummi/internal/dynim"
 	"mummi/internal/faults"
-	"mummi/internal/maestro"
 	"mummi/internal/profile"
 	"mummi/internal/sched"
 	"mummi/internal/sim"
@@ -272,43 +271,31 @@ func continuumNodes(nodes int) int {
 	return n
 }
 
-// runOne executes a single allocation. ckpt carries WM state across runs.
-// Fleet campaigns (WMInstances > 1) branch to the fleet analogue; the
-// single-WM path below is untouched by the fleet work, so WMInstances=1
-// replays stay event-for-event identical to earlier releases.
+// runOne executes a single allocation; ckpt carries WM state across runs.
+// It is the one allocation loop of every campaign: the machine, scheduler,
+// snapshot stream, failure injection, chaos handlers, heartbeat, teardown
+// and accounting are the same whichever coordination layer newCoordinator
+// picks, and only an injected wm-crash is handled differently (restart
+// for the single WM, adoption in a fleet).
 func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]TimelinePoint, error) {
-	if c.cfg.WMInstances > 1 {
-		return c.runOneFleet(spec, ckpt, keepTimeline)
-	}
 	machine, err := cluster.New(cluster.Summit(spec.Nodes))
 	if err != nil {
 		return nil, err
 	}
-	statusPoll := time.Duration(0)
-	if c.cfg.ModelStatusLoad {
-		statusPoll = c.cfg.ProfileEvery
-	}
-	s, err := sched.New(c.clk, sched.Config{
-		Machine: machine, Policy: c.cfg.SchedPolicy, Mode: c.cfg.SchedMode,
-		Costs: c.cfg.SchedCosts, StatusPollEvery: statusPoll,
-		Telemetry: c.tel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cond, err := maestro.NewConductor(c.clk, maestro.FluxBackend{S: s}, c.cfg.SubmitPerMinute)
-	if err != nil {
-		return nil, err
-	}
-
 	totalGPUs := machine.Topology().TotalGPUs()
 	cgSlots := int(float64(totalGPUs) * c.cfg.CGShare)
 	aaSlots := totalGPUs - cgSlots
 	if aaSlots < 1 {
 		aaSlots = 1
 	}
-	c.active = make(map[sched.JobID]activeJob)
-
+	couplings := []core.CouplingSpec{
+		// Setup jobs take 24 of a node's 44 cores, so at most one fits per
+		// node: cap the combined ready-buffer targets at the node count or
+		// queued setups head-of-line-block simulations (FCFS without
+		// backfilling).
+		c.cgCoupling(cgSlots, max(2, spec.Nodes*2/3)),
+		c.aaCoupling(aaSlots, max(1, spec.Nodes/3)),
+	}
 	// In the three-scale regime a live continuum job occupies contNodes and
 	// produces the snapshot stream; in the two-scale (mini-MuMMI) regime the
 	// stream is an archive replayed at the same published rate, the nodes
@@ -321,43 +308,26 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 			{Name: "continuum", NodeCount: contNodes, Cores: 24},
 		}
 	}
+	c.active = make(map[sched.JobID]activeJob)
 
-	// newWM builds the allocation's workflow manager. It is a closure so the
-	// WM-crash fault path can rebuild the manager mid-run with the same
-	// shape; the selectors are shared Campaign state, so a rebuilt WM keeps
-	// the live selector state (the real system restores selectors from their
-	// own checkpoints).
-	newWM := func(cond *maestro.Conductor, seed int64) (*core.Workflow, error) {
-		var wdGrace float64
-		if c.eng != nil {
-			// Chaos replays arm the hung-job watchdog: injected job-hang
-			// faults are unkillable any other way.
-			wdGrace = chaosWatchdogGrace
-		}
-		return core.New(core.Config{
-			Clock:         c.clk,
-			Conductor:     cond,
-			PollEvery:     c.cfg.PollEvery,
-			Seed:          seed,
-			Telemetry:     c.tel,
-			WatchdogGrace: wdGrace,
-			StaticJobs: staticJobs,
-			Couplings: []core.CouplingSpec{
-				// Setup jobs take 24 of a node's 44 cores, so at most one fits
-				// per node: cap the combined ready-buffer targets at the node
-				// count or queued setups head-of-line-block simulations
-				// (FCFS without backfilling).
-				c.cgCoupling(cgSlots, max(2, spec.Nodes*2/3)),
-				c.aaCoupling(aaSlots, max(1, spec.Nodes/3)),
-			},
-		})
+	statusPoll := time.Duration(0)
+	if c.cfg.ModelStatusLoad {
+		statusPoll = c.cfg.ProfileEvery
 	}
-	wm, err := newWM(cond, c.cfg.Seed+int64(c.res.RunsDone))
+	s, err := sched.New(c.clk, sched.Config{
+		Machine: machine, Policy: c.cfg.SchedPolicy, Mode: c.cfg.SchedMode,
+		Costs: c.cfg.SchedCosts, StatusPollEvery: statusPoll,
+		Telemetry: c.tel,
+	})
+	if err != nil {
+		return nil, err
+	}
+	co, err := c.newCoordinator(s, couplings, staticJobs)
 	if err != nil {
 		return nil, err
 	}
 	if *ckpt != nil {
-		if err := wm.RestoreState(*ckpt); err != nil {
+		if err := co.Restore(*ckpt); err != nil {
 			return nil, err
 		}
 	}
@@ -381,7 +351,7 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 			if !snapshotsActive || c.clk.Now().After(runEnd) {
 				return
 			}
-			c.onSnapshot(wm, contNodes)
+			c.onSnapshot(co, contNodes)
 			scheduleSnapshot()
 		})
 	}
@@ -418,18 +388,11 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 	}
 
 	// Chaos handlers: rebind the plan's timed fault classes to this
-	// allocation's scheduler/machine/WM. runActive gates stale events (a
-	// node revival armed in one allocation must not touch the next one's
-	// rebuilt machine).
+	// allocation. runActive gates stale events (a node revival armed in one
+	// allocation must not touch the next one's rebuilt machine).
 	runActive := true
 	if c.eng != nil {
-		c.bindCommonChaos(s, machine, &runActive)
-		c.eng.SetHandler(faults.WMCrash, func(faults.Rule, *rand.Rand) {
-			if !runActive {
-				return
-			}
-			c.restartWM(s, &wm, &cond, newWM)
-		})
+		c.bindChaos(s, machine, co, &runActive)
 	}
 
 	// Heartbeat: the terminal stand-in for the paper's live dashboards.
@@ -438,11 +401,11 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		run := c.res.RunsDone + 1
 		hb = telemetry.NewHeartbeat(c.clk, c.cfg.HeartbeatEvery, c.cfg.HeartbeatWriter,
 			func(now time.Time) string {
-				return c.heartbeatLine(now, run, spec, machine, s, wm)
+				return c.heartbeatLine(now, run, spec, machine, s, co)
 			})
 	}
 
-	if err := wm.Start(); err != nil {
+	if err := co.Start(); err != nil {
 		return nil, err
 	}
 	start := c.clk.Now()
@@ -454,23 +417,17 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		hb.Stop()
 	}
 	c.tel.RecordSpan("campaign", "allocation", start, c.clk.Now().Sub(start),
-		"run", c.res.RunsDone+1, "nodes", spec.Nodes)
+		append([]any{"run", c.res.RunsDone + 1, "nodes", spec.Nodes}, co.spanAttrs()...)...)
 
-	// Allocation over: stop producers, flush the conductor (queued
+	// Allocation over: stop producers, stop the coordinator (queued
 	// submissions fail back into WM state), settle running simulations,
 	// and checkpoint.
 	snapshotsActive = false
 	runActive = false
-	wm.Stop()
+	co.Stop()
 	prof.Stop()
-	cond.Close()
 	s.Close()
-	ids := make([]sched.JobID, 0, len(c.active))
-	for id := range c.active {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range c.sortedActiveIDs() {
 		aj := c.active[id]
 		job, ok := s.Job(id)
 		if !ok || job.State != sched.Running {
@@ -479,7 +436,7 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 		c.settle(aj.simID, aj.rate.SimFor(c.clk.Now().Sub(aj.start)), false)
 	}
 	c.active = nil
-	b, err := wm.Checkpoint()
+	b, err := co.Checkpoint()
 	if err != nil {
 		return nil, err
 	}
@@ -503,13 +460,11 @@ func (c *Campaign) runOne(spec RunSpec, ckpt *[]byte, keepTimeline bool) ([]Time
 	return nil, nil
 }
 
-// bindCommonChaos rebinds the node-crash and job-hang fault classes to one
-// allocation's scheduler and machine; *runActive gates stale events (a node
-// revival armed in one allocation must not touch the next one's rebuilt
-// machine). The wm-crash class is bound separately by each coordination
-// path: restart in the single-WM loop, instance crash + adoption in the
-// fleet.
-func (c *Campaign) bindCommonChaos(s *sched.Scheduler, machine *cluster.Machine, runActive *bool) {
+// bindChaos rebinds the plan's timed fault classes to one allocation: node
+// crashes and job hangs to its scheduler and machine, WM crashes to its
+// coordinator's crash policy. *runActive gates stale events (a node revival
+// armed in one allocation must not touch the next one's rebuilt machine).
+func (c *Campaign) bindChaos(s *sched.Scheduler, machine *cluster.Machine, co coordinator, runActive *bool) {
 	c.eng.SetHandler(faults.NodeCrash, func(r faults.Rule, rng *rand.Rand) {
 		if !*runActive {
 			return
@@ -560,27 +515,24 @@ func (c *Campaign) bindCommonChaos(s *sched.Scheduler, machine *cluster.Machine,
 		c.noteFault(msg)
 		c.eng.Note(msg)
 	})
-}
-
-// wmView is what the campaign's shared observers (Task-1 snapshot ingest,
-// the heartbeat) need from a coordination layer — satisfied by both the
-// single *core.Workflow and the distributed *wmfleet.Fleet.
-type wmView interface {
-	AddCandidate(coupling string, p dynim.Point) error
-	Stats() []core.CouplingStats
+	c.eng.SetHandler(faults.WMCrash, func(r faults.Rule, rng *rand.Rand) {
+		if *runActive {
+			co.onWMCrash(r, rng)
+		}
+	})
 }
 
 // heartbeatLine renders one status line: machine occupancy, scheduler
 // queue state, and per-coupling progress — the numbers an operator watches
 // to keep a multi-day allocation alive.
 func (c *Campaign) heartbeatLine(now time.Time, run int, spec RunSpec,
-	machine *cluster.Machine, s *sched.Scheduler, wm wmView) string {
+	machine *cluster.Machine, s *sched.Scheduler, co coordinator) string {
 	q, running, finished := s.Counts()
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%s] run %d (%dn): gpu=%.0f%% cpu=%.0f%% queued=%d running=%d done=%d",
 		now.Format("2006-01-02 15:04"), run, spec.Nodes,
 		machine.GPUOccupancy()*100, machine.CPUOccupancy()*100, q, running, finished)
-	for _, cs := range wm.Stats() {
+	for _, cs := range co.Stats() {
 		fmt.Fprintf(&b, " | %s: ready=%d run=%d done=%d fb=%d",
 			cs.Name, cs.Ready, cs.Running, cs.CompletedSims, cs.FeedbackRuns)
 	}
@@ -592,7 +544,7 @@ func (c *Campaign) heartbeatLine(now time.Time, run int, spec RunSpec,
 // data products. In the two-scale regime the snapshot is read from an
 // archive rather than produced, so only patch products are accounted — no
 // continuum time, performance sample, or snapshot file.
-func (c *Campaign) onSnapshot(wm wmView, contNodes int) {
+func (c *Campaign) onSnapshot(co coordinator, contNodes int) {
 	c.res.Snapshots++
 	if c.cfg.Scales == ThreeScale {
 		c.res.ContinuumTotal += 1 * units.Microsecond
@@ -620,7 +572,7 @@ func (c *Campaign) onSnapshot(wm wmView, contNodes int) {
 		c.res.Patches++
 		c.res.Files++
 		c.res.Bytes += 70_000
-		if err := wm.AddCandidate("continuum-to-cg", dynim.Point{ID: id, Coords: coords}); err != nil {
+		if err := co.AddCandidate("continuum-to-cg", dynim.Point{ID: id, Coords: coords}); err != nil {
 			// Selector shape errors are programming bugs; surface loudly.
 			panic(err)
 		}
@@ -913,84 +865,6 @@ func allocOnNode(a cluster.Alloc, node int) bool {
 func (c *Campaign) noteFault(msg string) {
 	c.res.Anomalies = append(c.res.Anomalies,
 		"fault: "+c.clk.Now().UTC().Format("2006-01-02T15:04:05")+" "+msg)
-}
-
-// restartWM models an injected WM crash inside an allocation (§4.4: the WM
-// "can be restored completely after any such crash"): stop the dead
-// manager, flush its conductor, checkpoint its state, cold-kill the
-// allocation's job set (every configuration is in the checkpoint; running
-// simulations resume from banked progress), rebuild the WM, restore, and
-// restart. The conservation check asserts no selection was lost across the
-// crash. wm and cond point at the caller's rig so its closures (snapshots,
-// heartbeat) drive the rebuilt manager afterwards.
-func (c *Campaign) restartWM(s *sched.Scheduler, wm **core.Workflow, cond **maestro.Conductor,
-	newWM func(*maestro.Conductor, int64) (*core.Workflow, error)) {
-	old := *wm
-	before := old.Stats()
-	old.Stop()
-	(*cond).Close() // queued submissions fail back into the old WM's state
-	ck, err := old.Checkpoint()
-	if err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash checkpoint failed: %v", err))
-		return
-	}
-	for _, id := range c.sortedActiveIDs() {
-		c.bankActive(id)
-	}
-	orphans := 0
-	for _, id := range s.LiveJobs() {
-		if job, ok := s.Job(id); ok && job.State == sched.Running {
-			if err := s.Fail(id); err != nil && !errors.Is(err, sched.ErrAlreadyTerminal) {
-				c.res.Anomalies = append(c.res.Anomalies,
-					fmt.Sprintf("wm-crash kill job %d: %v", id, err))
-			}
-		} else if !s.Cancel(id) {
-			orphans++ // mid-match: it will run and finish unobserved
-		}
-	}
-	c.active = make(map[sched.JobID]activeJob)
-	next, err := maestro.NewConductor(c.clk, maestro.FluxBackend{S: s}, c.cfg.SubmitPerMinute)
-	if err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash conductor rebuild failed: %v", err))
-		return
-	}
-	c.res.WMRestarts++
-	// A restarted manager is a new process: distinct WM seed, same replay
-	// determinism (the offset is a pure function of campaign state).
-	seed := c.cfg.Seed + int64(c.res.RunsDone) + 7919*int64(c.res.WMRestarts)
-	nw, err := newWM(next, seed)
-	if err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash rebuild failed: %v", err))
-		return
-	}
-	if err := nw.RestoreState(ck); err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash restore failed: %v", err))
-		return
-	}
-	// No selection may be lost: everything ready, running, or in setup
-	// before the crash must be ready or in setup after the restore.
-	after := nw.Stats()
-	for i := range before {
-		if i >= len(after) {
-			break
-		}
-		want := before[i].Ready + before[i].Running + before[i].InSetup
-		got := after[i].Ready + after[i].InSetup
-		if got != want {
-			c.res.Anomalies = append(c.res.Anomalies,
-				fmt.Sprintf("wm-crash lost selections in %s: %d before, %d after",
-					before[i].Name, want, got))
-		}
-	}
-	if err := nw.Start(); err != nil {
-		c.noteFault(fmt.Sprintf("wm-crash restart failed: %v", err))
-		return
-	}
-	msg := fmt.Sprintf("wm-crash restart=%d orphans=%d", c.res.WMRestarts, orphans)
-	c.noteFault(msg)
-	c.eng.Note(msg)
-	*wm = nw
-	*cond = next
 }
 
 func minSimTime(a, b units.SimTime) units.SimTime {

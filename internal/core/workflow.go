@@ -652,6 +652,11 @@ func (w *Workflow) couplingStatsLocked(cs *couplingState) CouplingStats {
 	}
 }
 
+// Selections counts the configurations a coupling has selected and not yet
+// finished: ready, running, or in setup. Crash recovery, restart and
+// adoption alike, must conserve it.
+func (s CouplingStats) Selections() int { return s.Ready + s.Running + s.InSetup }
+
 // FeedbackReports returns the recorded feedback reports for a coupling.
 func (w *Workflow) FeedbackReports(coupling string) []feedback.Report {
 	w.mu.Lock()
@@ -813,6 +818,48 @@ func restoreCouplingState(cs *couplingState, c couplingCkpt) {
 	cs.redoSetup = append(cs.redoSetup, c.InSetup...)
 }
 
+// CheckpointStats reports the state one coupling checkpoint
+// (CheckpointCoupling's output) restores to, without building a workflow:
+// running simulations come back ready and interrupted setups come back in
+// setup. Launched and CompletedSims are the checkpointed tallies. A nil part
+// is the empty state AdoptCoupling adopts. Candidates and the failure and
+// feedback tallies are not checkpointed and read zero.
+func CheckpointStats(part []byte) (CouplingStats, error) {
+	// Selections are counted, not decoded, and the selector snapshot is
+	// skipped: a checkpoint can hold thousands of points.
+	var c struct {
+		Name        string     `json:"name"`
+		Ready       []skipJSON `json:"ready"`
+		RunningSims []skipJSON `json:"running_sims"`
+		InSetup     []skipJSON `json:"in_setup"`
+		Launched    int        `json:"launched"`
+		Completed   int        `json:"completed"`
+	}
+	if part != nil {
+		if err := json.Unmarshal(part, &c); err != nil {
+			return CouplingStats{}, fmt.Errorf("core: corrupt coupling checkpoint: %w", err)
+		}
+	}
+	return CouplingStats{Name: c.Name, Ready: len(c.Ready) + len(c.RunningSims),
+		InSetup: len(c.InSetup), Launched: c.Launched, CompletedSims: c.Completed}, nil
+}
+
+// skipJSON decodes any JSON value into nothing.
+type skipJSON struct{}
+
+func (skipJSON) UnmarshalJSON([]byte) error { return nil }
+
+// CheckConserved is the conservation check of every crash recovery: a
+// coupling rehydrated after a crash (restored: its stats before it runs)
+// must hold every selection it held before, whether before is its live
+// stats at the crash or the CheckpointStats of the record it came from.
+func CheckConserved(before, restored CouplingStats) error {
+	if want, got := before.Selections(), restored.Selections(); got != want {
+		return fmt.Errorf("lost selections in %s: %d before, %d after", before.Name, want, got)
+	}
+	return nil
+}
+
 // RestoreCoupling rehydrates one already-registered coupling from a
 // per-coupling checkpoint document (CheckpointCoupling's output). Like
 // RestoreState it must precede Start; a fleet uses it to split a full
@@ -841,8 +888,7 @@ func (w *Workflow) RestoreCoupling(data []byte) error {
 // adopts the orphaned coupling and resumes its in-flight work. If the
 // workflow is already started the coupling's feedback ticker is armed and
 // an immediate poll re-engages its resources. The returned stats are the
-// post-restore snapshot the caller's conservation assert checks against the
-// pre-crash state.
+// post-restore snapshot the caller checks with CheckConserved.
 func (w *Workflow) AdoptCoupling(spec CouplingSpec, ckpt []byte) (CouplingStats, error) {
 	if err := spec.validate(); err != nil {
 		return CouplingStats{}, err

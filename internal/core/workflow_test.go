@@ -325,6 +325,51 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckConserved: CheckpointStats of a live coupling's checkpoint
+// reports the state a restore yields, with every selection (ready, running,
+// in setup) accounted, and CheckConserved passes it and flags a restore
+// that dropped a selection.
+func TestCheckConserved(t *testing.T) {
+	r := newRig(t, 2)
+	w, _ := New(Config{Clock: r.clk, Conductor: r.cond,
+		Couplings: []CouplingSpec{cgCoupling(dynim.NewFarthestPoint(1, 0), 4, 4)}, Seed: 9})
+	for i := 0; i < 20; i++ {
+		w.AddCandidate("continuum-to-cg", dynim.Point{ID: fmt.Sprintf("p%03d", i), Coords: []float64{float64(i)}})
+	}
+	w.Start()
+	r.clk.RunFor(4 * time.Hour) // setups done, sims running
+	live := w.Stats()[0]
+	part, err := w.CheckpointCoupling("continuum-to-cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Stop()
+	if live.Running == 0 {
+		t.Fatalf("no running sims to conserve: %+v", live)
+	}
+
+	held, err := CheckpointStats(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held.Name != live.Name || held.Running != 0 {
+		t.Errorf("checkpoint stats %+v do not restore live %+v", held, live)
+	}
+	if err := CheckConserved(live, held); err != nil {
+		t.Errorf("faithful checkpoint flagged: %v", err)
+	}
+	held.Ready--
+	if err := CheckConserved(live, held); err == nil {
+		t.Error("restore that dropped a selection passed")
+	}
+	if _, err := CheckpointStats([]byte("junk")); err == nil {
+		t.Error("corrupt coupling checkpoint accepted")
+	}
+	if empty, err := CheckpointStats(nil); err != nil || empty.Selections() != 0 {
+		t.Errorf("nil checkpoint = %+v, %v; want the empty state", empty, err)
+	}
+}
+
 func TestRestoreErrors(t *testing.T) {
 	r := newRig(t, 1)
 	w, _ := New(Config{Clock: r.clk, Conductor: r.cond,

@@ -1,7 +1,6 @@
 package wmfleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -306,7 +305,8 @@ func (f *Fleet) Restore(data []byte) error {
 	return nil
 }
 
-// Start acquires every coupling's initial lease, publishes each
+// Start acquires every coupling's initial lease (a store failure is an
+// anomaly, repaired on the owner's first renew tick), publishes each
 // coupling's starting checkpoint to the store (so a crash before the
 // first flush still leaves adopters a record), starts every instance,
 // and arms the renew/sweep tickers.
@@ -320,10 +320,13 @@ func (f *Fleet) Start() error {
 	for _, name := range f.order {
 		holder := f.owner[name]
 		term, ok, err := f.leases.Acquire(holder, name)
-		if err != nil {
-			return fmt.Errorf("wmfleet: acquiring lease for %s: %w", name, err)
-		}
-		if !ok {
+		switch {
+		case err != nil:
+			// A store failure past the armor costs the lease record, not
+			// ownership (which follows liveness): with term 0 the owner's
+			// first renew finds no matching lease and re-acquires it.
+			f.anomaly(fmt.Sprintf("wmfleet: initial lease for %s failed: %v (re-acquired on renew)", name, err))
+		case !ok:
 			return fmt.Errorf("wmfleet: lease for %s unexpectedly held at start", name)
 		}
 		f.terms[name] = term
@@ -458,8 +461,9 @@ func (f *Fleet) renewTick(inst *instance) {
 		}
 		if !ok {
 			// The lease lapsed (e.g. a long store-fault burst ate the
-			// renewal margin). Ownership is decided by liveness, not the
-			// record, so re-acquire rather than abandon the coupling.
+			// renewal margin) or Start could not write it. Ownership is
+			// decided by liveness, not the record, so re-acquire rather
+			// than abandon the coupling.
 			term, ok2, err := f.leases.Acquire(inst.idx, name)
 			if err != nil || !ok2 {
 				f.anomaly(fmt.Sprintf("wmfleet: instance %d could not re-acquire lease for %s: %v", inst.idx, name, err))
@@ -498,9 +502,8 @@ func (f *Fleet) sweepLocked(inst *instance) {
 }
 
 // adoptLocked has inst take over one orphaned coupling: win the lease,
-// replay the checkpointed state, and verify conservation (everything
-// ready, running, or in setup before the crash must be ready or in setup
-// after adoption). Caller holds f.mu.
+// replay the checkpointed state, and verify conservation
+// (core.CheckConserved). Caller holds f.mu.
 func (f *Fleet) adoptLocked(inst *instance, name string) {
 	term, ok, err := f.leases.Acquire(inst.idx, name)
 	if err != nil {
@@ -522,11 +525,12 @@ func (f *Fleet) adoptLocked(inst *instance, name string) {
 		f.anomaly(fmt.Sprintf("wmfleet: instance %d adoption of %s failed: %v", inst.idx, name, err))
 		return
 	}
-	if want, counted := countCkptSelections(part); counted {
-		got := st.Ready + st.InSetup
-		if got != want {
-			f.anomaly(fmt.Sprintf("wm-adopt lost selections in %s: %d before, %d after", name, want, got))
-		}
+	held, err := core.CheckpointStats(part)
+	if err == nil {
+		err = core.CheckConserved(held, st)
+	}
+	if err != nil {
+		f.anomaly("wm-adopt " + err.Error())
 	}
 	f.owner[name] = inst.idx
 	f.terms[name] = term
@@ -535,29 +539,6 @@ func (f *Fleet) adoptLocked(inst *instance, name string) {
 	f.tel.RecordSpan("wmfleet", "adopt", start, f.cfg.Clock.Now().Sub(start),
 		"coupling", name, "instance", inst.idx, "term", term)
 	f.event(fmt.Sprintf("wm-adopt coupling=%s instance=%d term=%d", name, inst.idx+1, term))
-}
-
-// ckptSelections mirrors the selection-bearing fields of core's
-// per-coupling checkpoint JSON (the format docs/RESILIENCE.md specifies)
-// just closely enough to count them.
-type ckptSelections struct {
-	Ready       []json.RawMessage `json:"ready"`
-	RunningSims []json.RawMessage `json:"running_sims"`
-	InSetup     []json.RawMessage `json:"in_setup"`
-}
-
-// countCkptSelections counts the selections a coupling checkpoint holds
-// (ready + running + in setup); counted=false means the document was
-// absent or unparseable, so no conservation claim can be made.
-func countCkptSelections(part []byte) (n int, counted bool) {
-	if part == nil {
-		return 0, false
-	}
-	var c ckptSelections
-	if err := json.Unmarshal(part, &c); err != nil {
-		return 0, false
-	}
-	return len(c.Ready) + len(c.RunningSims) + len(c.InSetup), true
 }
 
 // AddCandidate routes a coarse-scale candidate to the coupling's owning
@@ -617,9 +598,8 @@ func (f *Fleet) Checkpoint() ([]byte, error) {
 }
 
 // Stats reports per-coupling progress in canonical order. Owned
-// couplings report live WM state; orphaned ones report their last
-// checkpointed counts (running simulations counted as ready, matching
-// what adoption will restore).
+// couplings report live WM state; orphaned ones report what adoption will
+// restore from their last checkpoint (core.CheckpointStats).
 func (f *Fleet) Stats() []core.CouplingStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -635,21 +615,12 @@ func (f *Fleet) Stats() []core.CouplingStats {
 			}
 			continue
 		}
-		cs := core.CouplingStats{Name: name}
-		if spec, ok := f.specs[name]; ok && spec.Selector != nil {
-			cs.Candidates = spec.Selector.Len()
+		cs, err := core.CheckpointStats(f.parts[name])
+		if err != nil {
+			cs = core.CouplingStats{} // unreadable record: no progress to report
 		}
-		var c struct {
-			ckptSelections
-			Launched  int `json:"launched"`
-			Completed int `json:"completed"`
-		}
-		if part := f.parts[name]; part != nil && json.Unmarshal(part, &c) == nil {
-			cs.Ready = len(c.Ready) + len(c.RunningSims)
-			cs.InSetup = len(c.InSetup)
-			cs.Launched = c.Launched
-			cs.CompletedSims = c.Completed
-		}
+		cs.Name = name
+		cs.Candidates = f.specs[name].Selector.Len()
 		out = append(out, cs)
 	}
 	return out

@@ -1,6 +1,7 @@
 package wmfleet
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -370,5 +371,69 @@ func TestFleetCandidateDuringOrphanWindow(t *testing.T) {
 	}
 	if st := fl.Stats()[0]; st.CompletedSims == 0 {
 		t.Errorf("no sims completed after window: %+v", st)
+	}
+}
+
+// failingLeasePuts fails the first n puts into one namespace: an initial
+// lease write that exhausts the armor's retry budget.
+type failingLeasePuts struct {
+	datastore.Store
+	ns string
+	n  int
+}
+
+func (s *failingLeasePuts) Put(ns, key string, data []byte) error {
+	if ns == s.ns && s.n > 0 {
+		s.n--
+		return errors.New("injected put failure")
+	}
+	return s.Store.Put(ns, key, data)
+}
+
+// TestFleetStartSurvivesLeaseFailure: a store failure on an initial lease
+// write is an anomaly, not a failed Start. The owner keeps the coupling
+// (ownership follows liveness) and holds the lease after one renew tick.
+func TestFleetStartSurvivesLeaseFailure(t *testing.T) {
+	r := newFleetRig(t, 2)
+	var anomalies []string
+	fl, err := New(Config{
+		Clock: r.clk, Backend: maestro.FluxBackend{S: r.s},
+		Store:      &failingLeasePuts{Store: datastore.NewMemory(), ns: "s1-lease", n: 1},
+		Instances:  2,
+		Couplings:  []core.CouplingSpec{testCoupling("cg", 2, 8, 3, 6*time.Hour)},
+		PollEvery:  2 * time.Minute,
+		Seed:       7,
+		LeaseTTL:   30 * time.Minute,
+		RenewEvery: 10 * time.Minute,
+		Namespace:  "s1",
+		OnAnomaly:  func(msg string) { anomalies = append(anomalies, msg) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.Start(); err != nil {
+		t.Fatalf("Start failed on a lease store error: %v", err)
+	}
+	defer fl.Stop()
+	if len(anomalies) != 1 || !strings.Contains(anomalies[0], "initial lease for cg failed") {
+		t.Fatalf("anomalies = %q, want one initial-lease failure", anomalies)
+	}
+	if _, found, err := fl.leases.Load("cg"); err != nil || found {
+		t.Fatalf("lease record after failed write: found=%v err=%v", found, err)
+	}
+	if o, _ := fl.Owner("cg"); o != 0 {
+		t.Fatalf("cg owner = %d after failed lease write, want 0", o)
+	}
+
+	r.clk.RunFor(10 * time.Minute) // one renew tick
+	rec, found, err := fl.leases.Load("cg")
+	if err != nil || !found {
+		t.Fatalf("no lease after the renew tick: found=%v err=%v", found, err)
+	}
+	if rec.Holder != 0 || rec.Term != 1 {
+		t.Errorf("lease after renew = %+v, want holder 0 term 1", rec)
+	}
+	if len(anomalies) != 1 {
+		t.Errorf("renew tick added anomalies: %q", anomalies[1:])
 	}
 }

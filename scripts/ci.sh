@@ -48,19 +48,26 @@ go run ./scripts/tracecheck "$tmpdir/trace.json" "$tmpdir/metrics.json"
 # Chaos smoke: a campaign with every fault class at aggressive rates must
 # complete, and two same-seed runs must be byte-identical — the fault
 # ledger on stdout and the full metrics snapshot and trace event stream.
+# The plan runs once per crash policy: the single WM (cold restart) and a
+# three-instance fleet (crash adoption); both go through the same
+# allocation loop.
 chaosplan='store-transient-error:0.10;store-latency-spike:0.05;store-permanent-error:0.01;node-crash:8/day;job-hang:12/day;wm-crash:2/day'
-go run ./cmd/mummi-sim campaign -scale 0.02 -seed 7 -faults "$chaosplan" \
-	-trace "$tmpdir/chaos1-trace.json" -metrics "$tmpdir/chaos1-metrics.json" >"$tmpdir/chaos1.out"
-go run ./cmd/mummi-sim campaign -scale 0.02 -seed 7 -faults "$chaosplan" \
-	-trace "$tmpdir/chaos2-trace.json" -metrics "$tmpdir/chaos2-metrics.json" >"$tmpdir/chaos2.out"
-# Drop the wall-clock line ("replayed in Nms") and the artifact-path lines
-# ("-> .../chaosN-trace.json") before comparing.
-grep -v -e 'replayed in' -e ' -> ' "$tmpdir/chaos1.out" >"$tmpdir/chaos1.cmp"
-grep -v -e 'replayed in' -e ' -> ' "$tmpdir/chaos2.out" >"$tmpdir/chaos2.cmp"
-diff "$tmpdir/chaos1.cmp" "$tmpdir/chaos2.cmp"
-diff "$tmpdir/chaos1-metrics.json" "$tmpdir/chaos2-metrics.json"
-diff "$tmpdir/chaos1-trace.json" "$tmpdir/chaos2-trace.json"
-grep -q 'wm restarts' "$tmpdir/chaos1.out"
+for wms in 1 3; do
+	for i in 1 2; do
+		go run ./cmd/mummi-sim campaign -scale 0.02 -seed 7 -faults "$chaosplan" -wm-instances "$wms" \
+			-trace "$tmpdir/chaos$wms-$i-trace.json" -metrics "$tmpdir/chaos$wms-$i-metrics.json" >"$tmpdir/chaos$wms-$i.out"
+		# Drop the wall-clock line ("replayed in Nms") and the artifact-path
+		# lines ("-> .../chaosW-N-trace.json") before comparing.
+		grep -v -e 'replayed in' -e ' -> ' "$tmpdir/chaos$wms-$i.out" >"$tmpdir/chaos$wms-$i.cmp"
+	done
+	diff "$tmpdir/chaos$wms-1.cmp" "$tmpdir/chaos$wms-2.cmp"
+	diff "$tmpdir/chaos$wms-1-metrics.json" "$tmpdir/chaos$wms-2-metrics.json"
+	diff "$tmpdir/chaos$wms-1-trace.json" "$tmpdir/chaos$wms-2-trace.json"
+done
+# The single-WM run must actually restart (seed 7 gives 4 restarts), and the
+# fleet run must actually adopt.
+grep -Eq ' [1-9][0-9]* wm restarts' "$tmpdir/chaos1-1.out"
+grep -Eq ' [1-9][0-9]* adoptions' "$tmpdir/chaos3-1.out"
 
 # Scenario-matrix gate: replay every committed workflow instance under
 # scenarios/ and diff it against its committed per-scenario ledger —
