@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	kvstore serve -addr 127.0.0.1:6399 [-replica host:port]
+//	kvstore serve -addr 127.0.0.1:6399
 //	kvstore set   -addr 127.0.0.1:6399 key value
 //	kvstore get   -addr 127.0.0.1:6399 key
 //	kvstore keys  -addr 127.0.0.1:6399 'prefix:*'
@@ -26,7 +26,6 @@ func main() {
 	cmd := os.Args[1]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:6399", "server address")
-	replica := fs.String("replica", "", "serve: forward every mutation to this replica server and await its ack (promotes this server to shard primary)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		fatal(err)
 	}
@@ -34,18 +33,11 @@ func main() {
 
 	if cmd == "serve" {
 		srv := kvstore.NewServer(nil)
-		if *replica != "" {
-			srv.SetReplica(*replica)
-		}
 		bound, err := srv.Listen(*addr)
 		if err != nil {
 			fatal(err)
 		}
-		if *replica != "" {
-			fmt.Println("kvstore listening on", bound, "replicating to", *replica)
-		} else {
-			fmt.Println("kvstore listening on", bound)
-		}
+		fmt.Println("kvstore listening on", bound)
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt)
 		<-ch

@@ -20,10 +20,11 @@
 // shape and its comparison semantics live in internal/benchfmt.
 //
 // With -trace-in the shared campaign replay comes from a workflow instance
-// (docs/SCENARIOS.md) instead of -scale/-seed/-faults; the systems
-// experiments keep their own flags. (-trace, without the -in, is the
-// telemetry flag for Chrome trace output — an older surface that keeps its
-// name.)
+// (docs/SCENARIOS.md) instead of -scale/-seed/-faults/-wm-instances; the
+// trace carries its own fault plan and fleet size, so -faults and
+// -wm-instances are refused alongside it. The systems experiments keep
+// their own flags. (-trace, without the -in, is the telemetry flag for
+// Chrome trace output — an older surface that keeps its name.)
 package main
 
 import (
@@ -53,12 +54,20 @@ func main() {
 	wmInstances := flag.Int("wm-instances", 1,
 		"workflow-manager fleet size for the campaign replay (>1 = lease-coordinated distributed WM; see docs/RESILIENCE.md)")
 	traceIn := flag.String("trace-in", "",
-		"workflow instance for the campaign replay (replaces -scale/-seed/-faults for it; see docs/SCENARIOS.md)")
+		"workflow instance for the campaign replay (replaces -scale/-seed/-faults/-wm-instances for it; see docs/SCENARIOS.md)")
 	var tf telemetry.Flags
 	tf.Register(flag.CommandLine)
 	flag.Parse()
+	// run sees 0 when -wm-instances was not given, so a -trace-in replay
+	// can refuse an explicit fleet size instead of silently ignoring it.
+	wm := 0
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "wm-instances" {
+			wm = *wmInstances
+		}
+	})
 
-	if err := run(*exp, *scale, *seed, *full, *workers, *wmInstances, *jsonOut, *faultSpec, *traceIn, &tf); err != nil {
+	if err := run(*exp, *scale, *seed, *full, *workers, wm, *jsonOut, *faultSpec, *traceIn, &tf); err != nil {
 		fmt.Fprintln(os.Stderr, "mummi-bench:", err)
 		os.Exit(1)
 	}
@@ -108,6 +117,9 @@ func run(exp string, scale float64, seed int64, full bool, workers, wmInstances 
 		if traceIn != "" {
 			if faultSpec != "" {
 				return fmt.Errorf("-trace-in carries its own fault plan; drop -faults")
+			}
+			if wmInstances != 0 {
+				return fmt.Errorf("-trace-in carries its own fleet size; drop -wm-instances")
 			}
 			b, err := os.ReadFile(traceIn)
 			if err != nil {

@@ -10,8 +10,9 @@
 //	mummi-sim cg        -id sim01 -frames 50 -outdir frames/
 //	mummi-sim feedback  -indir frames/ -species 14
 //
-// The campaign subcommand replays a small scaled campaign with the full
-// observability surface (see docs/OBSERVABILITY.md):
+// The campaign subcommand replays a scaled campaign, prints the §5 report
+// (Table 1, simulation counts, Fig. 5), and records the full observability
+// surface on request (see docs/OBSERVABILITY.md):
 //
 //	mummi-sim campaign -scale 0.05 -trace trace.json -metrics metrics.json
 //
@@ -80,7 +81,7 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runCampaign replays a scaled campaign with observability on — the
+// runCampaign replays a scaled campaign and prints its §5 report — the
 // example campaign of docs/OBSERVABILITY.md. The default scale finishes in
 // seconds on a laptop while still exercising every instrumented layer
 // (all four workflow-manager tasks, the scheduler, and the feedback store).
@@ -168,6 +169,10 @@ func runCampaign(args []string) error {
 	}
 	fmt.Printf("campaign: %d runs, %v replayed in %v\n",
 		res.RunsDone, res.TotalNodeHours, time.Since(start).Round(time.Millisecond))
+	fmt.Println()
+	fmt.Println(res.Table1Text())
+	fmt.Println(res.CountsText())
+	fmt.Println(res.Fig5Text())
 	if cfg.Faults != nil {
 		fmt.Printf("campaign: chaos %d node crashes, %d job hangs, %d wm restarts, %d store put errors, %d anomalies\n",
 			res.NodeCrashes, res.JobHangs, res.WMRestarts, res.StorePutErrors, len(res.Anomalies))

@@ -8,9 +8,10 @@ import (
 )
 
 // Options is the shared CLI-facing campaign builder: the one entry point
-// through which mummi-sim campaign, mummi-run, mummi-bench, the trace
-// layer, and the scenario-matrix runner turn flag-level knobs into a
-// Config. Hoisting it here keeps the flag semantics (scale factors, fault
+// through which mummi-sim campaign, mummi-bench, the trace layer, and the
+// scenario-matrix runner turn flag-level knobs into a Config. A campaign
+// the knobs cannot express (a custom schedule, CG share or subsample) is a
+// hand-edited workflow instance replayed with -trace-in. Hoisting it here keeps the flag semantics (scale factors, fault
 // plan parsing, fault-seed defaulting) identical across every command.
 type Options struct {
 	// Scale shrinks the paper schedule via ScaledRuns when it is in (0, 1);

@@ -89,10 +89,6 @@ type Config struct {
 	Root string `json:"root,omitempty"`
 	// Addrs lists kv-cluster server addresses for the kv backend.
 	Addrs []string `json:"addrs,omitempty"`
-	// Replicas optionally lists one replica address per entry of Addrs
-	// (same order), making each kv shard a replicated primary/replica
-	// pair with client-side failover. Empty means unreplicated.
-	Replicas []string `json:"replicas,omitempty"`
 }
 
 // Opener constructs a Store from a Config. Backends self-register so that

@@ -25,12 +25,11 @@ import (
 //   - a small connection pool (ClientOptions.PoolSize) multiplies the
 //     window. Requests carry an affinity key and all requests with the
 //     same key ride the same connection, so per-key operation order is
-//     exactly submission order end to end — the property replication
-//     forwarding relies on.
+//     exactly submission order end to end.
 //
 // A broken connection fails its outstanding and subsequent requests with
-// the underlying error; recovery (redial, failover to a replica) is the
-// cluster layer's job, where the replacement address is known.
+// the underlying error; recovery (redial and retry) is the cluster
+// layer's job.
 type AsyncClient struct {
 	addr string
 	opts ClientOptions

@@ -14,42 +14,32 @@ import (
 // Cluster is the client side of a multi-node deployment: the paper ran a
 // cluster of 20 Redis servers with compute nodes "allocated randomly" to
 // them. Keys are placed on shards by a consistent-hash ring (stable under
-// topology change, allocation-free per lookup); each shard is a primary
-// with an optional replica, reached through a pipelined AsyncClient; and
-// scatter operations (Keys/MGet/MSet/Del/Size/FlushAll) fan out to all
-// shards in parallel with a deterministic shard-order merge.
+// topology change, allocation-free per lookup); each shard is one node,
+// reached through a pipelined AsyncClient; and scatter operations
+// (Keys/MGet/MSet/Del/Size/FlushAll) fan out to all shards in parallel
+// with a deterministic shard-order merge.
 //
-// Failover is client-side: when a shard's node stops answering, the
-// cluster flips to the shard's other node, redials, and retries under the
-// configured retry policy. Together with the primary's synchronous
-// write-forwarding (Server.SetReplica) this gives at-least-once semantics
-// across a primary kill: every acknowledged write survives on the replica,
-// and a retried batch may re-apply operations that were in flight — which
-// is why Rename-class retries treat "no such key" on a key that already
-// reached its destination as success (see Store.MoveBatch).
+// Reconnect is client-side: when a shard's node stops answering, the
+// cluster redials it and retries under the configured retry policy. A
+// retried batch may re-apply operations that were in flight when the
+// connection dropped — at-least-once — which is why Rename-class retries
+// treat "no such key" on a key that already reached its destination as
+// success (see Store.MoveBatch).
 type Cluster struct {
-	opts      ClientOptions
-	ring      *Ring
-	shards    []*shardConn
-	failovers atomic.Int64
+	opts       ClientOptions
+	ring       *Ring
+	shards     []*shardConn
+	reconnects atomic.Int64
 }
 
-// Shard names one shard's nodes. An empty Replica runs the shard
-// unreplicated.
-type Shard struct {
-	Primary string
-	Replica string
-}
-
-// shardConn is one shard's connection state: which node is currently
-// authoritative and the pipelined client talking to it. gen counts
-// recoveries so concurrent failures trigger one failover, not a stampede.
+// shardConn is one shard's connection state: the node's address and the
+// pipelined client talking to it. gen counts recoveries so concurrent
+// failures trigger one redial, not a stampede.
 type shardConn struct {
-	mu     sync.Mutex
-	addrs  [2]string // [0] primary, [1] replica ("" if none)
-	active int
-	gen    uint64
-	cl     *AsyncClient
+	mu   sync.Mutex
+	addr string
+	gen  uint64
+	cl   *AsyncClient
 	// redialing marks a recovery dial in progress; redialed (on mu) wakes
 	// the callers waiting for its outcome. The dial itself happens outside
 	// mu so client() never blocks behind a slow redial.
@@ -57,37 +47,28 @@ type shardConn struct {
 	redialed  *sync.Cond
 }
 
-// DialCluster connects to every node of an unreplicated cluster with
-// default options (one shard per address).
+// DialCluster connects to every node of a cluster with default options
+// (one shard per address).
 func DialCluster(addrs []string) (*Cluster, error) {
 	return DialClusterOptions(addrs, ClientOptions{})
 }
 
-// DialClusterOptions is DialCluster with explicit client options.
+// DialClusterOptions is DialCluster with explicit client options: one
+// pipelined client per shard. Shard order is part of the placement
+// function (ring identity is positional), so every client of a deployment
+// must use the same address order.
 func DialClusterOptions(addrs []string, opts ClientOptions) (*Cluster, error) {
-	shards := make([]Shard, len(addrs))
-	for i, a := range addrs {
-		shards[i] = Shard{Primary: a}
-	}
-	return DialShards(shards, opts)
-}
-
-// DialShards connects to a replicated cluster: one pipelined client per
-// shard, initially against each shard's primary. Shard order is part of
-// the placement function (ring identity is positional), so every client
-// of a deployment must use the same shard list order.
-func DialShards(shards []Shard, opts ClientOptions) (*Cluster, error) {
-	if len(shards) == 0 {
+	if len(addrs) == 0 {
 		return nil, errors.New("kvstore: empty cluster")
 	}
 	opts = opts.withDefaults()
-	c := &Cluster{opts: opts, ring: NewRing(len(shards), opts.VNodes)}
-	for _, sh := range shards {
-		cl, err := DialAsync(sh.Primary, opts)
+	c := &Cluster{opts: opts, ring: NewRing(len(addrs), opts.VNodes)}
+	for _, addr := range addrs {
+		cl, err := DialAsync(addr, opts)
 		if err != nil {
-			return nil, errors.Join(fmt.Errorf("kvstore: shard %s: %w", sh.Primary, err), c.Close())
+			return nil, errors.Join(fmt.Errorf("kvstore: shard %s: %w", addr, err), c.Close())
 		}
-		sc := &shardConn{addrs: [2]string{sh.Primary, sh.Replica}, cl: cl}
+		sc := &shardConn{addr: addr, cl: cl}
 		sc.redialed = sync.NewCond(&sc.mu)
 		c.shards = append(c.shards, sc)
 	}
@@ -97,9 +78,9 @@ func DialShards(shards []Shard, opts ClientOptions) (*Cluster, error) {
 // Nodes returns the number of shards.
 func (c *Cluster) Nodes() int { return len(c.shards) }
 
-// Failovers reports how many times any shard switched nodes (promotion to
-// replica or redial of the same node after a drop).
-func (c *Cluster) Failovers() int64 { return c.failovers.Load() }
+// Reconnects reports how many times any shard redialed its node after a
+// dropped connection.
+func (c *Cluster) Reconnects() int64 { return c.reconnects.Load() }
 
 // shardFor returns the shard owning a placement key.
 func (c *Cluster) shardFor(key string) *shardConn { return c.shards[c.ring.Lookup(key)] }
@@ -113,8 +94,7 @@ func (s *shardConn) client() (*AsyncClient, uint64) {
 
 // recover replaces a failed client observed at generation gen: if another
 // caller already recovered (gen advanced), the fresh client is returned
-// as-is; otherwise the shard flips to its other node (when one exists)
-// and redials. The caller retries against whatever comes back.
+// as-is; otherwise the shard redials its node. The caller retries against whatever comes back.
 //
 // The dial and the old client's teardown both happen outside s.mu: a dial
 // can stall for its full timeout and closing the old client joins its
@@ -137,27 +117,23 @@ func (s *shardConn) recover(c *Cluster, gen uint64) (*AsyncClient, uint64, error
 	}
 	s.redialing = true
 	old := s.cl
-	if s.addrs[1] != "" {
-		s.active = 1 - s.active
-	}
-	addr := s.addrs[s.active]
 	s.mu.Unlock()
 
-	cl, err := DialAsync(addr, c.opts)
+	cl, err := DialAsync(s.addr, c.opts)
 
 	s.mu.Lock()
 	s.redialing = false
 	s.redialed.Broadcast()
 	if err != nil {
-		// The broken client stays in place; the next recover attempt flips
-		// to the other node again (alternating addresses across retries).
+		// The broken client stays in place; the next recover attempt
+		// redials again.
 		s.mu.Unlock()
 		return nil, 0, err
 	}
 	s.cl = cl
 	s.gen++
 	g := s.gen
-	c.failovers.Add(1)
+	c.reconnects.Add(1)
 	s.mu.Unlock()
 	if old != nil {
 		old.Close() //lint:allow errdiscipline -- the old client is already broken; recovery replaces it wholesale
@@ -166,7 +142,7 @@ func (s *shardConn) recover(c *Cluster, gen uint64) (*AsyncClient, uint64, error
 }
 
 // do sends one command to the shard owning placement (which also pins the
-// pool connection, preserving per-key order), retrying through failover
+// pool connection, preserving per-key order), retrying through reconnect
 // under the cluster's retry policy. Only transport errors trigger
 // recovery; semantic errors arrive inside a reply and are returned as-is.
 func (c *Cluster) do(placement string, args ...[]byte) (*reply, error) {
@@ -174,8 +150,8 @@ func (c *Cluster) do(placement string, args ...[]byte) (*reply, error) {
 }
 
 // doOnShard is do for an explicit shard index (scatter operations are not
-// placed by key). Every failed attempt recovers the shard connection —
-// failing over to the other node when one exists — before retrying.
+// placed by key). Every failed attempt recovers the shard connection
+// before retrying.
 func (c *Cluster) doOnShard(i int, placement string, args ...[]byte) (*reply, error) {
 	sc := c.shards[i]
 	cl, gen := sc.client()

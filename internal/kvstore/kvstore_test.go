@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -228,6 +229,21 @@ func TestProtoMalformedInput(t *testing.T) {
 		if _, err := readCommand(bufio.NewReader(strings.NewReader(s))); err == nil {
 			t.Errorf("readCommand(%q) succeeded", s)
 		}
+	}
+}
+
+// TestReadCommandBoundsPrealloc sends a request header declaring a huge
+// argument count and nothing else: the count is client-supplied, so it
+// must not size an allocation before any argument arrives.
+func TestReadCommandBoundsPrealloc(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := readCommand(bufio.NewReader(strings.NewReader("*67108864\r\n"))); err == nil {
+		t.Fatal("truncated command accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("header-only request allocated %d bytes", got)
 	}
 }
 
@@ -478,7 +494,7 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 	}
 	s1.Close()
 	// Restart on the same address with the same engine (state survives, as
-	// with Redis persistence/replication).
+	// with Redis persistence).
 	s2 := NewServer(e)
 	if _, err := s2.Listen(addr); err != nil {
 		t.Fatalf("rebind: %v", err)

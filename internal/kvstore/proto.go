@@ -26,6 +26,13 @@ import (
 // length prefix from allocating unbounded memory.
 const maxBulkLen = 64 << 20
 
+// maxPreallocArgs caps the argument slice readCommand sizes up front from
+// a request's declared count. The count is client-supplied: trusting it
+// would let an 11-byte header ("*67108864\r\n") allocate ~1.5 GB before a
+// single argument arrives. Larger commands still parse; their slice grows
+// as arguments actually arrive.
+const maxPreallocArgs = 1 << 16
+
 // ioBufSize is the buffered reader/writer size on every connection. Sized
 // so a full 256-pair burst of ~850 B values (~220 KB) moves in one syscall
 // per side — syscalls cost microseconds on the virtualized hosts this runs
@@ -159,7 +166,7 @@ func readCommand(r *bufio.Reader) ([][]byte, error) {
 	if err != nil || n < 1 {
 		return nil, errProtocol
 	}
-	args := make([][]byte, 0, n)
+	args := make([][]byte, 0, min(n, maxPreallocArgs))
 	for i := 0; i < n; i++ {
 		line, err := readLine(r)
 		if err != nil {

@@ -12,31 +12,17 @@ import (
 // Server serves one Engine over TCP. One goroutine per connection, a
 // buffered writer flushed once per request batch — the standard shape for a
 // high-throughput in-memory store.
-//
-// A server may act as a shard primary by naming a replica address
-// (SetReplica): every mutating command is then forwarded to the replica
-// and the replica's acknowledgement is awaited before the client reply is
-// flushed. A client that has seen OK therefore knows the write exists on
-// both nodes — killing the primary at any instant loses no acknowledged
-// state, which is the invariant the failover chaos tests assert. If the
-// replica link itself fails, the primary degrades to standalone serving
-// (availability over replication in the single-failure model) and reports
-// it via ReplicaDegraded.
 type Server struct {
-	engine      *Engine
-	ln          net.Listener
-	replicaAddr string
-	replOpts    ClientOptions
+	engine *Engine
+	ln     net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
 
-	// Counters for the Fig. 7 experiment and replication health.
-	commands     atomic.Int64
-	replForwards atomic.Int64
-	replDegraded atomic.Bool
+	// commands counts served commands for the Fig. 7 experiment.
+	commands atomic.Int64
 }
 
 // NewServer wraps an engine (NewEngine() if nil).
@@ -46,23 +32,6 @@ func NewServer(engine *Engine) *Server {
 	}
 	return &Server{engine: engine, conns: make(map[net.Conn]struct{})}
 }
-
-// SetReplica names the replica this server forwards mutations to,
-// promoting it to shard primary. Must be called before Listen. An empty
-// addr (the default) serves standalone.
-func (s *Server) SetReplica(addr string) { s.replicaAddr = addr }
-
-// SetReplicaOptions overrides the dial/deadline options of replica links
-// (default: zero ClientOptions, i.e. 5s dial timeout, unbounded I/O).
-func (s *Server) SetReplicaOptions(opts ClientOptions) { s.replOpts = opts }
-
-// ReplicaDegraded reports whether the replica link failed and the primary
-// fell back to standalone serving.
-func (s *Server) ReplicaDegraded() bool { return s.replDegraded.Load() }
-
-// ReplicaForwards returns how many mutations were forwarded to (and
-// acknowledged by) the replica.
-func (s *Server) ReplicaForwards() int64 { return s.replForwards.Load() }
 
 // Engine returns the server's engine (shared with embedded users).
 func (s *Server) Engine() *Engine { return s.engine }
@@ -101,29 +70,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// replLink is one connection's private pipe to the shard replica. Each
-// inbound connection forwards its own mutations over its own link, so the
-// order of a connection's mutations on the replica matches the primary —
-// and since the cluster client pins each key to one connection, per-key
-// order is preserved end to end.
-type replLink struct {
-	conn    net.Conn
-	w       *bufio.Writer
-	r       *bufio.Reader
-	pending int
-}
-
-// mutates reports whether a command changes the keyspace (and must
-// therefore be forwarded to the replica). The switch on string(cmd) is
-// allocation-free (the compiler special-cases the conversion).
-func mutates(cmd []byte) bool {
-	switch string(cmd) {
-	case "SET", "MSET", "DEL", "RENAME", "FLUSHALL":
-		return true
-	}
-	return false
-}
-
 // upperASCII uppercases the command name in place — the buffer is owned by
 // this request (readCommand allocates fresh), so dispatch never pays a
 // strings.ToUpper allocation.
@@ -145,12 +91,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	r := bufio.NewReaderSize(conn, ioBufSize)
 	w := bufio.NewWriterSize(conn, ioBufSize)
-	var rl *replLink
-	defer func() {
-		if rl != nil {
-			rl.conn.Close()
-		}
-	}()
 	for {
 		args, err := readCommand(r)
 		if err != nil {
@@ -158,71 +98,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.commands.Add(1)
 		upperASCII(args[0])
-		if s.replicaAddr != "" && mutates(args[0]) && !s.replDegraded.Load() {
-			rl = s.forward(rl, args)
-		}
 		if err := s.dispatch(w, args); err != nil {
 			return
 		}
 		// Flush only when no further pipelined request is already buffered:
-		// this is what makes pipelined batches fast. Replica acks are
-		// collected first, so a flushed client reply implies the replica
-		// holds the write.
+		// this is what makes pipelined batches fast.
 		if r.Buffered() == 0 {
-			if rl != nil && rl.pending > 0 {
-				rl = s.syncReplica(rl)
-			}
 			if err := w.Flush(); err != nil {
 				return
 			}
 		}
 	}
-}
-
-// forward pipelines one mutation onto the replica link, dialing it lazily.
-// Any link failure degrades the server to standalone (nil link).
-func (s *Server) forward(rl *replLink, args [][]byte) *replLink {
-	if rl == nil {
-		conn, err := net.DialTimeout("tcp", s.replicaAddr, s.replOpts.withDefaults().DialTimeout)
-		if err != nil {
-			s.replDegraded.Store(true)
-			return nil
-		}
-		tuneConn(conn)
-		rl = &replLink{
-			conn: conn,
-			w:    bufio.NewWriterSize(conn, ioBufSize),
-			r:    bufio.NewReaderSize(conn, ioBufSize),
-		}
-	}
-	if err := writeCommand(rl.w, args...); err != nil {
-		s.degradeReplica(rl)
-		return nil
-	}
-	rl.pending++
-	return rl
-}
-
-// syncReplica flushes the replica link and consumes one ack per forwarded
-// mutation, returning the link (or nil after degrading on failure).
-func (s *Server) syncReplica(rl *replLink) *replLink {
-	if err := rl.w.Flush(); err != nil {
-		s.degradeReplica(rl)
-		return nil
-	}
-	for ; rl.pending > 0; rl.pending-- {
-		if _, err := readReply(rl.r); err != nil {
-			s.degradeReplica(rl)
-			return nil
-		}
-		s.replForwards.Add(1)
-	}
-	return rl
-}
-
-func (s *Server) degradeReplica(rl *replLink) {
-	s.replDegraded.Store(true)
-	rl.conn.Close() // best-effort: link already failed
 }
 
 func (s *Server) dispatch(w *bufio.Writer, args [][]byte) error {

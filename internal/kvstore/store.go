@@ -21,7 +21,7 @@ const nsSep = ":"
 // between namespaces — the feedback tagging primitive — is always a
 // same-shard rename, never a cross-shard copy. The bare key is also the
 // pipe affinity, so all operations on one key are ordered end to end even
-// through the pooled async client and onto the replica.
+// through the pooled async client.
 type Store struct{ c *Cluster }
 
 // NewStore wraps an existing cluster connection.
@@ -29,20 +29,6 @@ func NewStore(c *Cluster) *Store { return &Store{c: c} }
 
 func init() {
 	datastore.Register(datastore.BackendKV, func(cfg datastore.Config) (datastore.Store, error) {
-		if len(cfg.Replicas) > 0 {
-			if len(cfg.Replicas) != len(cfg.Addrs) {
-				return nil, fmt.Errorf("kvstore: %d addrs but %d replicas", len(cfg.Addrs), len(cfg.Replicas))
-			}
-			shards := make([]Shard, len(cfg.Addrs))
-			for i, a := range cfg.Addrs {
-				shards[i] = Shard{Primary: a, Replica: cfg.Replicas[i]}
-			}
-			cl, err := DialShards(shards, ClientOptions{})
-			if err != nil {
-				return nil, err
-			}
-			return NewStore(cl), nil
-		}
 		cl, err := DialCluster(cfg.Addrs)
 		if err != nil {
 			return nil, err
@@ -209,7 +195,7 @@ func (s *Store) GetBatch(ns string, keys []string) (map[string][]byte, error) {
 // MoveBatch implements datastore.BatchMover: with bare-key placement every
 // rename is same-shard, so the whole batch is one pipelined RENAME burst
 // per shard, all shards in parallel. Keys missing from srcNS are skipped
-// (not errors) — that contract is what makes the failover retry of a
+// (not errors) — that contract is what makes the reconnect retry of a
 // partially applied burst safe: a rename that already happened simply
 // reports "no such key" on replay.
 func (s *Store) MoveBatch(srcNS string, keys []string, dstNS string) error {
@@ -243,10 +229,13 @@ func (s *Store) Close() error { return s.c.Close() }
 // ---------------------------------------------------------------------------
 // Test / deployment helpers
 
-// launchServers starts n standalone in-process servers on ephemeral
-// loopback ports.
-func launchServers(n int) (servers []*Server, addrs []string, err error) {
-	stop := func() {
+// LaunchCluster starts n in-process servers on ephemeral loopback ports and
+// returns their addresses plus a shutdown function. MuMMI's redis interface
+// "sets up a cluster of Redis servers ... allocated randomly to all compute
+// nodes"; this is that setup step for a single-machine deployment.
+func LaunchCluster(n int) (addrs []string, shutdown func(), err error) {
+	var servers []*Server
+	shutdown = func() {
 		for _, s := range servers {
 			s.Close() //lint:allow errdiscipline -- best-effort teardown of ephemeral in-process servers
 		}
@@ -255,86 +244,11 @@ func launchServers(n int) (servers []*Server, addrs []string, err error) {
 		s := NewServer(nil)
 		addr, lerr := s.Listen("127.0.0.1:0")
 		if lerr != nil {
-			stop()
+			shutdown()
 			return nil, nil, lerr
 		}
 		servers = append(servers, s)
 		addrs = append(addrs, addr)
 	}
-	return servers, addrs, nil
-}
-
-// LaunchCluster starts n in-process servers on ephemeral loopback ports and
-// returns their addresses plus a shutdown function. MuMMI's redis interface
-// "sets up a cluster of Redis servers ... allocated randomly to all compute
-// nodes"; this is that setup step for a single-machine deployment.
-func LaunchCluster(n int) (addrs []string, shutdown func(), err error) {
-	servers, addrs, err := launchServers(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	return addrs, func() {
-		for _, s := range servers {
-			s.Close() //lint:allow errdiscipline -- best-effort teardown of ephemeral in-process servers
-		}
-	}, nil
-}
-
-// Deployment is a replicated in-process cluster: n shards, each a primary
-// forwarding writes to its replica. Tests and benchmarks use it to kill a
-// primary mid-workload and assert nothing acknowledged is lost.
-type Deployment struct {
-	primaries []*Server
-	replicas  []*Server
-	shards    []Shard
-}
-
-// LaunchReplicated starts n primary/replica pairs on ephemeral loopback
-// ports. Each replica comes up first (standalone), then its primary with
-// forwarding configured.
-func LaunchReplicated(n int) (*Deployment, error) {
-	d := &Deployment{}
-	for i := 0; i < n; i++ {
-		replica := NewServer(nil)
-		raddr, err := replica.Listen("127.0.0.1:0")
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.replicas = append(d.replicas, replica)
-		primary := NewServer(nil)
-		primary.SetReplica(raddr)
-		paddr, err := primary.Listen("127.0.0.1:0")
-		if err != nil {
-			replica.Close() //lint:allow errdiscipline -- best-effort teardown on launch failure
-			d.Close()
-			return nil, err
-		}
-		d.primaries = append(d.primaries, primary)
-		d.shards = append(d.shards, Shard{Primary: paddr, Replica: raddr})
-	}
-	return d, nil
-}
-
-// Shards returns the shard list to dial the deployment with.
-func (d *Deployment) Shards() []Shard { return append([]Shard(nil), d.shards...) }
-
-// Primary returns shard i's primary server.
-func (d *Deployment) Primary(i int) *Server { return d.primaries[i] }
-
-// Replica returns shard i's replica server.
-func (d *Deployment) Replica(i int) *Server { return d.replicas[i] }
-
-// KillPrimary hard-stops shard i's primary — connections drop mid-stream,
-// exactly like a node crash as far as clients can tell.
-func (d *Deployment) KillPrimary(i int) { d.primaries[i].Close() } //lint:allow errdiscipline -- deliberate crash injection; the error is the point
-
-// Close stops every server.
-func (d *Deployment) Close() {
-	for _, s := range d.primaries {
-		s.Close() //lint:allow errdiscipline -- best-effort teardown of ephemeral in-process servers
-	}
-	for _, s := range d.replicas {
-		s.Close() //lint:allow errdiscipline -- best-effort teardown of ephemeral in-process servers
-	}
+	return addrs, shutdown, nil
 }

@@ -12,6 +12,12 @@ go build ./...
 go test ./...
 go test -race ./...
 
+# Fuzz smoke: the RESP request parser reads bytes from any client that
+# connects to a kvstore server; a short run over the committed seed corpus
+# (internal/kvstore/testdata/fuzz/) must find no panic and no round-trip
+# mismatch.
+go test -run '^$' -fuzz '^FuzzReadCommand$' -fuzztime 10s ./internal/kvstore
+
 # Bench-diff gate: the committed perf-trajectory reports (BENCH_*.json)
 # must stay coherent — deterministic replay metrics identical between the
 # pre- and post-optimization reports, timing/alloc metrics within the
@@ -40,10 +46,14 @@ go run ./cmd/kvstore-bench -mode compare \
 
 # Observability smoke: the example campaign must emit a loadable Chrome
 # trace and a metrics snapshot with nonzero counters for all four workflow
-# tasks (tracecheck fails on empty or unparsable artifacts).
+# tasks (tracecheck fails on empty or unparsable artifacts), and its stdout
+# must carry the §5 report: Table 1, the simulation counts and Fig. 5.
 go run ./cmd/mummi-sim campaign -scale 0.02 \
-	-trace "$tmpdir/trace.json" -metrics "$tmpdir/metrics.json"
+	-trace "$tmpdir/trace.json" -metrics "$tmpdir/metrics.json" >"$tmpdir/campaign.out"
 go run ./scripts/tracecheck "$tmpdir/trace.json" "$tmpdir/metrics.json"
+grep -q '^#nodes  wall-time  #runs  node hours' "$tmpdir/campaign.out"
+grep -q '^quantity  *measured  *paper' "$tmpdir/campaign.out"
+grep -q '^# Fig 5: GPU occupancy' "$tmpdir/campaign.out"
 
 # Chaos smoke: a campaign with every fault class at aggressive rates must
 # complete, and two same-seed runs must be byte-identical — the fault
