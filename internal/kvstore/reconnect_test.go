@@ -71,13 +71,13 @@ func (ss *shardSet) dial() *kvstore.Cluster {
 	return cl
 }
 
-// TestClusterReconnectMidMoveBatch restarts a shard between two MoveBatch
+// TestFailoverMidMoveBatch restarts a shard node between two MoveBatch
 // bursts — the second burst replays keys the first already moved, plus the
 // keys that were still pending — and asserts zero lost renames: every key
 // ends up in the destination namespace with its value intact. This is the
 // at-least-once contract: a replayed rename of an already-moved key
 // reports "no such key" and is skipped, never an error.
-func TestClusterReconnectMidMoveBatch(t *testing.T) {
+func TestFailoverMidMoveBatch(t *testing.T) {
 	ss := startShards(t, 3)
 	cl := ss.dial()
 	st := kvstore.NewStore(cl)
@@ -118,17 +118,36 @@ func TestClusterReconnectMidMoveBatch(t *testing.T) {
 	if cl.Reconnects() == 0 {
 		t.Error("no reconnect recorded despite a restarted shard")
 	}
+}
 
-	// The cluster handle keeps serving plain writes and reads after every
-	// shard has dropped its connections.
+// TestFailoverSetGet covers the simple path: restart every shard node, then
+// keep reading and writing through the same cluster handle.
+func TestFailoverSetGet(t *testing.T) {
+	ss := startShards(t, 2)
+	cl := ss.dial()
+	for i := 0; i < 50; i++ {
+		if err := cl.Set(fmt.Sprintf("pre-%d", i), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := range ss.servers {
 		ss.restart(i)
+	}
+	for i := 0; i < 50; i++ {
+		k := fmt.Sprintf("pre-%d", i)
+		v, err := cl.Get(k)
+		if err != nil || string(v) != "x" {
+			t.Fatalf("Get(%s) after restart = %q, %v", k, v, err)
+		}
 	}
 	if err := cl.Set("post", []byte("y")); err != nil {
 		t.Fatalf("Set after restart: %v", err)
 	}
 	if v, err := cl.Get("post"); err != nil || string(v) != "y" {
 		t.Fatalf("Get(post) = %q, %v", v, err)
+	}
+	if cl.Reconnects() == 0 {
+		t.Error("no reconnect recorded despite restarted shards")
 	}
 }
 
